@@ -405,7 +405,7 @@ def test_wiretable_geometry_speed(report):
 def test_wiretable_memory(report):
     """E7h gate: the flat geometry table stores the 10-cube L=4 layout
     in <= half the bytes of the Wire/Segment/Point object graph."""
-    from repro.grid.table import HAVE_NUMPY, object_graph_bytes
+    from repro.grid.table import object_graph_bytes
 
     rows = []
     gate_ratio = None
@@ -421,8 +421,7 @@ def test_wiretable_memory(report):
         if n == 10:
             gate_ratio = ratio
     report(
-        "E7h: layout representation bytes, object graph vs WireTable "
-        f"(backend: {'numpy' if HAVE_NUMPY else 'fallback'})",
+        "E7h: layout representation bytes, object graph vs WireTable",
         ["layout", "L", "wires", "object graph B", "wire table B",
          "reduction"],
         rows,
@@ -433,7 +432,7 @@ def test_wiretable_memory(report):
 
 
 # ---------------------------------------------------------------------------
-# E7i/E7j/E7k: the accel kernel registry and incremental revalidation.
+# E7i/E7j: the accel kernels and incremental revalidation.
 # The "before" for E7i is the validator's own scalar battery (still the
 # diagnosis path, so it cannot rot); for E7j it is a full revalidation
 # after each edit.
@@ -441,8 +440,7 @@ def test_wiretable_memory(report):
 
 def test_validator_kernels(report):
     """E7i gate: the kernelized validator >= 5x the scalar battery on
-    the 10-cube at L=4 (numpy backend; reported-only on pure)."""
-    from repro import accel
+    the 10-cube at L=4."""
     from repro.grid.validate import (
         _validate_scalar_reference,
         validate_layout,
@@ -455,32 +453,23 @@ def test_validator_kernels(report):
     kernel_s = timed_median(lambda: validate_layout(lay))
 
     speedup = scalar_s / kernel_s
-    backend = accel.active_backend()
     report(
         f"E7i: full validation battery on the 10-cube at L=4, median "
-        f"of 3 ({len(lay.wires)} wires; accel backend: {backend})",
+        f"of 3 ({len(lay.wires)} wires)",
         ["implementation", "seconds", "speedup"],
         [
             ["scalar sweeps", f"{scalar_s:.4f}", "1.00x"],
-            [f"accel kernels ({backend})", f"{kernel_s:.4f}",
-             f"{speedup:.1f}x"],
+            ["accel kernels", f"{kernel_s:.4f}", f"{speedup:.1f}x"],
         ],
     )
-    if backend == "numpy":
-        assert speedup >= 5.0, (
-            f"kernelized validator only {speedup:.1f}x faster"
-        )
-    else:
-        assert kernel_s <= scalar_s * 1.5, (
-            f"pure kernels regress plain validation: {kernel_s:.4f}s vs "
-            f"{scalar_s:.4f}s"
-        )
+    assert speedup >= 5.0, (
+        f"kernelized validator only {speedup:.1f}x faster"
+    )
 
 
 def test_incremental_revalidation(report):
     """E7j gate: single-wire edit + incremental revalidation >= 10x an
-    edit + full revalidation on the 10-cube at L=4 (>= 3x on pure)."""
-    from repro import accel
+    edit + full revalidation on the 10-cube at L=4."""
     from repro.grid.validate import validate_layout
     from repro.grid.wire import Wire
 
@@ -513,79 +502,15 @@ def test_incremental_revalidation(report):
     inc_s = timed_median(edit_and_incremental)
 
     speedup = full_s / inc_s
-    backend = accel.active_backend()
     report(
         f"E7j: single-wire edit + revalidation on the 10-cube at L=4, "
-        f"median of 3 ({len(lay.wires)} wires; accel backend: {backend})",
+        f"median of 3 ({len(lay.wires)} wires)",
         ["implementation", "seconds", "speedup"],
         [
             ["edit + full sweep", f"{full_s:.4f}", "1.00x"],
             ["edit + dirty bands", f"{inc_s:.4f}", f"{speedup:.1f}x"],
         ],
     )
-    floor = 10.0 if backend == "numpy" else 3.0
-    assert speedup >= floor, (
-        f"incremental revalidation only {speedup:.1f}x faster "
-        f"(gate {floor:.0f}x on {backend})"
-    )
-
-
-def test_engine_classify_kernel(report):
-    """E7k row: the vectorized bucket-classification kernel never loses
-    to the pure mirror on a large bucket, and their outputs agree."""
-    import random as _random
-
-    import pytest as _pytest
-
-    from repro import accel
-
-    if not accel.HAVE_NUMPY:
-        _pytest.skip("numpy not importable: no vector kernel to compare")
-    import numpy as _np
-
-    rng = _random.Random(42)
-    n_msgs = 4096
-    nhops = [rng.randint(1, 6) for _ in range(n_msgs)]
-    flat: list[int] = []
-    offsets = [0]
-    for h in nhops:
-        flat.extend(rng.randrange(512) for _ in range(h))
-        offsets.append(len(flat))
-    starts = [rng.randint(0, 8) for _ in range(n_msgs)]
-    hop = [rng.randint(0, nhops[i]) for i in range(n_msgs)]
-    movers = list(range(n_msgs))
-    nhops_a = _np.asarray(nhops, dtype=_np.int64)
-    rs_a = _np.asarray(offsets[:-1], dtype=_np.int64)
-    flat_a = _np.asarray(flat, dtype=_np.int64)
-    starts_a = _np.asarray(starts, dtype=_np.int64)
-
-    pure = accel.get_backend("pure")
-    vec = accel.get_backend("numpy")
-    p = pure.classify_bucket(
-        movers, hop, 100, 3, nhops, offsets[:-1], flat, starts
-    )
-    v = vec.classify_bucket(
-        movers, hop, 100, 3, nhops_a, rs_a, flat_a, starts_a
-    )
-    assert p == v, "classify_bucket outputs diverge"
-
-    pure_s = timed_median(lambda: pure.classify_bucket(
-        movers, hop, 100, 3, nhops, offsets[:-1], flat, starts
-    ))
-    vec_s = timed_median(lambda: vec.classify_bucket(
-        movers, hop, 100, 3, nhops_a, rs_a, flat_a, starts_a
-    ))
-    speedup = pure_s / vec_s
-    report(
-        f"E7k: engine bucket classification, {n_msgs} movers, median "
-        "of 3 (outputs identical)",
-        ["implementation", "seconds", "speedup"],
-        [
-            ["pure mirror", f"{pure_s:.4f}", "1.00x"],
-            ["vector kernel", f"{vec_s:.4f}", f"{speedup:.1f}x"],
-        ],
-    )
-    assert vec_s <= pure_s, (
-        f"vector kernel lost to the pure mirror: {vec_s:.4f}s vs "
-        f"{pure_s:.4f}s"
+    assert speedup >= 10.0, (
+        f"incremental revalidation only {speedup:.1f}x faster"
     )

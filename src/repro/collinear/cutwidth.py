@@ -8,7 +8,7 @@ module computes it exactly by dynamic programming over vertex subsets:
     dp[S] = min over v in S of max(dp[S - v], cut(S))
 
 where ``cut(S)`` counts edges between S and its complement.  O(2^n n)
-time with bitmask adjacency; practical to ~20 nodes, which covers the
+time over bitmask-indexed subsets; practical to ~20 nodes, which covers the
 instances needed to certify the paper's orders:
 
 * the ring's 2 tracks and K_N's |N^2/4| are exactly optimal;
@@ -17,23 +17,17 @@ instances needed to certify the paper's orders:
 * the left-edge GHC(4,4) layout (18 tracks, beating the paper's
   recurrence value of 20) is certified optimal too.
 
-The DP kernels themselves -- the lowest-set-bit carry recurrence of
-the pure backend and the popcount-layer gather of the numpy backend --
-live in the :mod:`repro.accel` backend registry (``cutwidth_dp`` /
-``cut_profile``); this module keeps the public API, the node-limit
-policy and the backtracking, and dispatches to whichever backend the
-registry selected (``REPRO_ACCEL_BACKEND`` overrides).
+The DP kernels themselves -- the popcount-layer gather of
+:func:`repro.accel.cutwidth_dp` and the difference-array
+:func:`repro.accel.cut_profile` -- live in :mod:`repro.accel`; this
+module keeps the public API, the node-limit policy and the
+backtracking.
 """
 
 from __future__ import annotations
 
 from repro import accel as _accel
 from repro import obs
-
-# Shared bitmask/multigraph helpers now live in the accel package;
-# the old private names stay importable for callers and benches.
-from repro.accel import bit_adjacency as _bit_adjacency  # noqa: F401
-from repro.accel import edge_weights as _edge_weights  # noqa: F401
 from repro.topology.base import Network
 
 __all__ = [
@@ -61,16 +55,6 @@ def _check_limit(fn_name: str, n: int, limit: int) -> None:
         )
 
 
-def _cutwidth_dp(network: Network, n: int):
-    """The full ``(dp, cut)`` tables over all 2^n vertex subsets.
-
-    Both tables index by subset bitmask; the numpy backend returns
-    ndarray rows, the pure backend plain lists -- callers only index
-    and compare.
-    """
-    return _accel.get_backend().cutwidth_dp(network, n)
-
-
 def exact_cutwidth(network: Network, *, limit: int = DP_NODE_LIMIT) -> int:
     """The graph's exact cutwidth (minimum collinear track count).
 
@@ -84,7 +68,7 @@ def exact_cutwidth(network: Network, *, limit: int = DP_NODE_LIMIT) -> int:
         return 0
     size = 1 << n
     with obs.span("exact_cutwidth", n=n, states=size):
-        dp, _ = _cutwidth_dp(network, n)
+        dp, _ = _accel.cutwidth_dp(network, n)
     obs.count("cutwidth.dp_runs")
     obs.count("cutwidth.dp_states", size)
     return int(dp[size - 1])
@@ -107,7 +91,7 @@ def cutwidth_certificate(
         return 0, order
     # The order's max cut IS the cutwidth (backtracking preserves the
     # dp optimum); recompute it directly instead of re-running the DP.
-    # Each edge contributes +1 to every gap it spans: the backend's
+    # Each edge contributes +1 to every gap it spans: the
     # ``cut_profile`` kernel accumulates a difference array and
     # prefix-sums it, O(E + n) instead of the O(E * span) of walking
     # every gap per edge.
@@ -118,7 +102,7 @@ def cutwidth_certificate(
         if pu > pv:
             pu, pv = pv, pu
         pairs.append((pu, pv))
-    best = _accel.get_backend().cut_profile(len(order), pairs)
+    best = _accel.cut_profile(len(order), pairs)
     return int(best), order
 
 
@@ -131,7 +115,7 @@ def optimal_order(network: Network, *, limit: int = DP_NODE_LIMIT) -> list:
     nodes = list(network.nodes)
     size = 1 << n
     with obs.span("optimal_order", n=n, states=size):
-        dp, cut = _cutwidth_dp(network, n)
+        dp, cut = _accel.cutwidth_dp(network, n)
     obs.count("cutwidth.dp_runs")
     obs.count("cutwidth.dp_states", size)
 

@@ -27,12 +27,14 @@ purely among untouched elements were already ruled out then.
 
 from __future__ import annotations
 
+from repro import accel
+
 __all__ = ["DirtyTracker", "wire_extent"]
 
 
 def wire_extent(wire) -> tuple[int, int, int, int]:
-    """``(ymin, ymax, lmin, lmax)`` of one wire (mirrors the accel
-    ``wire_extents`` kernel's per-wire semantics)."""
+    """``(ymin, ymax, lmin, lmax)`` of one wire (the per-wire
+    semantics of :func:`repro.accel.wire_extents`)."""
     if wire.riser is not None:
         _, y, zlo, zhi = wire.riser
         return (y, y, zlo, zhi)
@@ -107,11 +109,9 @@ class DirtyTracker:
     def reset_after_full(self, layout) -> None:
         """Record a successful full validation: capture per-wire extents
         from the (already hot) wire table and arm incremental mode."""
-        from repro import accel
-
-        table = layout.wire_table()
-        ext = accel.get_backend().wire_extents(table)
-        self.ymin, self.ymax, self.lmin, self.lmax = (list(a) for a in ext)
+        self.ymin, self.ymax, self.lmin, self.lmax = accel.wire_extents(
+            layout.wire_table()
+        )
         self.full = False
         self.validated = True
         self.bands = []

@@ -26,8 +26,8 @@ The checks implement Section 2's rules:
 on the first violation, or returns a small report on success.
 
 Execution strategy (fast accept, scalar diagnose): every check first
-runs a vectorized *clean test* from the :mod:`repro.accel` backend
-registry over the layout's cached :class:`~repro.grid.table.WireTable`.
+runs a vectorized *clean test* from :mod:`repro.accel` over the
+layout's cached :class:`~repro.grid.table.WireTable`.
 A clean verdict is only returned when the scalar check provably
 accepts; on suspicion the original scalar sweep re-runs and produces
 its usual byte-identical error message (or accepts, for the few
@@ -267,7 +267,7 @@ def _band_sublayout(layout: GridLayout, wire_idx, bands) -> GridLayout:
 
 def _check_layer_budget(layout: GridLayout) -> None:
     table = layout.wire_table()
-    if _accel.get_backend().layer_budget_clean(table, layout.layers):
+    if _accel.layer_budget_clean(table, layout.layers):
         return
     _layer_budget_scalar(layout)
 
@@ -284,7 +284,7 @@ def _layer_budget_scalar(layout: GridLayout) -> None:
 
 def _check_parity(layout: GridLayout) -> None:
     table = layout.wire_table()
-    if _accel.get_backend().parity_clean(table):
+    if _accel.parity_clean(table):
         return
     _parity_scalar(layout)
 
@@ -306,7 +306,7 @@ def _parity_scalar(layout: GridLayout) -> None:
 
 def _check_wire_self_consistency(layout: GridLayout) -> None:
     table = layout.wire_table()
-    if _accel.get_backend().self_consistency_clean(table):
+    if _accel.self_consistency_clean(table):
         return
     _self_consistency_scalar(layout)
 
@@ -324,7 +324,7 @@ def _self_consistency_scalar(layout: GridLayout) -> None:
 def _check_edge_disjointness(layout: GridLayout) -> int:
     """Sweep each (layer, grid line) for properly-overlapping spans."""
     table = layout.wire_table()
-    total, clean = _accel.get_backend().edge_sweep(table)
+    total, clean = _accel.edge_sweep(table)
     if clean:
         return total
     return _edge_disjointness_scalar(layout)
@@ -361,7 +361,7 @@ def _edge_disjointness_scalar(layout: GridLayout) -> int:
 
 def _check_bend_exclusivity(layout: GridLayout) -> None:
     table = layout.wire_table()
-    if _accel.get_backend().bend_clean(table):
+    if _accel.bend_clean(table):
         return
     _bend_exclusivity_scalar(layout)
 
@@ -404,7 +404,7 @@ def _bend_exclusivity_scalar(layout: GridLayout) -> None:
 
 def _check_via_occupancy(layout: GridLayout) -> None:
     table = layout.wire_table()
-    if _accel.get_backend().via_clean(table):
+    if _accel.via_clean(table):
         return
     _via_occupancy_scalar(layout)
 
@@ -502,10 +502,9 @@ def _check_node_interference(layout: GridLayout) -> None:
     re-establishes that invariant -- before any segment sweep runs.
     """
     table = layout.wire_table()
-    backend = _accel.get_backend()
-    if not backend.node_overlap_clean(table):
+    if not _accel.node_overlap_clean(table):
         _node_overlap_scalar(layout)
-    if backend.node_sweep_clean(table):
+    if _accel.node_sweep_clean(table):
         return
     _node_seg_sweep_scalar(layout)
 
@@ -607,7 +606,7 @@ def _check_pins(layout: GridLayout) -> None:
             return _pins_scalar(layout)
         u_rows.append(iu)
         v_rows.append(iv)
-    if _accel.get_backend().pins_clean(table, u_rows, v_rows):
+    if _accel.pins_clean(table, u_rows, v_rows):
         return
     _pins_scalar(layout)
 
@@ -661,8 +660,8 @@ def _validate_scalar_reference(
 ) -> None:
     """Run every scalar sweep directly, bypassing the accel kernels.
 
-    The reference battery for the E7i bench and the cross-backend
-    parity tests: same checks, same order, same error messages as
+    The reference battery for the E7i bench and the kernel parity
+    tests: same checks, same order, same error messages as
     ``validate_layout`` -- minus the kernel fast path.
     """
     _layer_budget_scalar(layout)

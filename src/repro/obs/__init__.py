@@ -48,7 +48,6 @@ from repro.obs.context import (
 from repro.obs.export import (
     chrome_trace,
     jsonl_events,
-    prometheus_info,
     prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
@@ -125,7 +124,6 @@ __all__ = [
     "validate_chrome_trace",
     "jsonl_events",
     "write_jsonl",
-    "prometheus_info",
     "prometheus_text",
     "write_prometheus",
     # metrics

@@ -46,7 +46,6 @@ __all__ = [
     "JSONL_SCHEMA",
     "chrome_trace",
     "jsonl_events",
-    "prometheus_info",
     "prometheus_text",
     "validate_chrome_trace",
     "write_chrome_trace",
@@ -350,32 +349,6 @@ def prometheus_text(
         lines.append(f"{metric}_sum {_prom_num(h.get('sum', 0))}")
         lines.append(f"{metric}_count {h.get('count', 0)}")
     return "\n".join(lines) + "\n"
-
-
-def prometheus_info(
-    name: str, labels: dict[str, str], *, prefix: str = "repro_"
-) -> str:
-    """An *info-style* metric: a constant-1 gauge carrying identity labels.
-
-    The conventional way to expose build/configuration facts
-    (``repro_accel_backend{backend="numpy",...} 1``): the value never
-    changes, the labels are the payload, and dashboards join on them.
-    Label values are escaped per the exposition format.
-    """
-    metric = _prom_name(name, prefix)
-    rendered = ",".join(
-        '{}="{}"'.format(
-            k,
-            str(v).replace("\\", "\\\\").replace('"', '\\"').replace(
-                "\n", "\\n"
-            ),
-        )
-        for k, v in sorted(labels.items())
-    )
-    return (
-        f"# TYPE {metric} gauge\n"
-        f"{metric}{{{rendered}}} 1\n"
-    )
 
 
 def write_prometheus(

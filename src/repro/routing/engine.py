@@ -14,22 +14,18 @@ link's free time, so releasing a link with ``Q`` waiters re-pops all
 traffic per queue, which is exactly the regime (saturation) where the
 paper's latency claims live.  The engine keeps one min-heap of waiting
 message indices per link and wakes each link **once** per release, so
-total event work is linear in delivered hops.  On top of that, the
-numpy backend processes large time buckets as int64 array batches:
+total event work is linear in delivered hops.  On top of that, large
+time buckets (``_VEC_MIN`` movers or more) are processed as int64
+array batches:
 arrival detection, bulk latency-histogram updates, and grouping movers
 by contended link (a stable argsort over the CSR link column) are
 vectorized, then each group is arbitrated by the shared scalar helper.
 Per-message and per-link *mutable* state stays in plain python lists
-on both backends -- the arbitration loop is scalar element access,
-where list indexing beats ndarray item access several-fold.
-
-Backend selection mirrors :mod:`repro.grid.table`: numpy when
-importable, a pure-python mirror otherwise, ``REPRO_ENGINE_FALLBACK=1``
-(or ``REPRO_ACCEL_BACKEND=pure``, the registry-wide switch) forces the
-fallback, and ``use_numpy=`` overrides per call.  The batch bucket
-classification itself is the registry's ``classify_bucket`` kernel
-(:mod:`repro.accel`); both backends share the scalar arbitration and
-scheduling helpers, so they cannot diverge from each other.
+-- the arbitration loop is scalar element access, where list indexing
+beats ndarray item access several-fold.  The batch bucket
+classification itself is :func:`repro.accel.classify_bucket`; small
+buckets take an in-place scalar loop instead, and both paths feed the
+same arbitration and scheduling helpers.
 
 Parity caveat: when a hop's advance delay is 0 (``router_overhead=0``
 with zero-delay wires) a message hops several times inside one cycle
@@ -43,8 +39,9 @@ parity is exact.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable, Hashable
+
+import numpy as _np
 
 from repro import accel as _accel
 from repro import obs
@@ -62,33 +59,14 @@ from repro.routing.simulator import (
 )
 from repro.topology.base import Network
 
-try:  # vectorized path; the pure-python fallback mirrors it exactly
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-if (
-    os.environ.get("REPRO_ENGINE_FALLBACK") == "1"
-    or _accel.active_backend() != "numpy"
-):
-    _np = None
-
 __all__ = [
     "simulate_fast",
     "saturation_sweep",
     "knee_point",
-    "HAVE_NUMPY",
 ]
 
 Node = Hashable
 Message = tuple[Node, Node]
-
-#: Whether the vectorized backend is active (numpy importable and not
-#: disabled via ``REPRO_ENGINE_FALLBACK=1`` / ``REPRO_ACCEL_BACKEND=pure``).
-HAVE_NUMPY = _np is not None
-
-if HAVE_NUMPY:
-    _classify_bucket = _accel.get_backend("numpy").classify_bucket
 
 #: Below this many message events in a time bucket the scalar loop wins
 #: -- array setup costs more than it saves.
@@ -127,24 +105,13 @@ def simulate_fast(
     mode: str = "store_forward",
     message_length: int = 1,
     max_cycles: int = 10_000_000,
-    use_numpy: bool | None = None,
 ) -> SimulationResult:
     """Drop-in fast replacement for :func:`repro.routing.simulator.simulate`.
 
-    Same signature and semantics (see there for the parameter story),
-    plus ``use_numpy`` to pick the backend explicitly: ``None`` takes
-    the import-time default, ``True`` requires numpy, ``False`` forces
-    the pure-python mirror.  Results match the oracle field-for-field;
-    the parity suite and the ``traffic`` fuzz stage enforce it.
+    Same signature and semantics (see there for the parameter story).
+    Results match the oracle field-for-field; the parity suite and the
+    ``traffic`` fuzz stage enforce it.
     """
-    if use_numpy is None:
-        use_numpy = HAVE_NUMPY
-    elif use_numpy and not HAVE_NUMPY:
-        raise ValueError(
-            "use_numpy=True but numpy is unavailable (not installed, "
-            "REPRO_ENGINE_FALLBACK=1, or REPRO_ACCEL_BACKEND=pure)"
-        )
-
     link_delay = _resolve_link_delay(layout, link_delay)
     get_route = _resolve_router(network, router)
     routes, starts = _build_routes(messages, get_route)
@@ -185,23 +152,21 @@ def simulate_fast(
     nhops = [offsets[i + 1] - offsets[i] for i in range(n_msgs)]
     tail = message_length - 1 if mode == "cut_through" else 0
 
-    # Mutable state lives in plain python lists on BOTH backends: link
-    # arbitration is scalar element access, and list indexing is
-    # several-fold cheaper than ndarray item access.  The numpy backend
-    # adds read-only int64 columns (routes, delays, starts) that the
-    # batch path gathers from without touching python objects.
+    # Mutable state lives in plain python lists: link arbitration is
+    # scalar element access, and list indexing is several-fold cheaper
+    # than ndarray item access.  Read-only int64 columns (routes,
+    # delays, starts) back the batch path, which gathers from them
+    # without touching python objects.
     hop = [0] * n_msgs
     free = [0] * n_links
     qlen = [0] * n_links
     load = [0] * n_links
     busy_time = [0] * n_links
     first_seq = [-1] * n_links
-    if use_numpy:
-        flat_a = _np.asarray(flat, dtype=_np.int64)
-        route_start_a = _np.asarray(offsets[:-1], dtype=_np.int64)
-        nhops_a = _np.asarray(nhops, dtype=_np.int64)
-        starts_a = _np.asarray(starts, dtype=_np.int64)
-        bounds_a = _np.asarray(LATENCY_BOUNDS, dtype=_np.int64)
+    flat_a = _np.asarray(flat, dtype=_np.int64)
+    route_start_a = _np.asarray(offsets[:-1], dtype=_np.int64)
+    nhops_a = _np.asarray(nhops, dtype=_np.int64)
+    starts_a = _np.asarray(starts, dtype=_np.int64)
     wake_sched = [-1] * n_links
     queues: list[list[int]] = [[] for _ in range(n_links)]
 
@@ -301,12 +266,11 @@ def simulate_fast(
     for i, s in enumerate(starts):
         sched_msg(i, int(s))
 
-    backend = "numpy" if use_numpy else "python"
     heappop = heapq.heappop
     heappush = heapq.heappush
     with obs.span(
         "simulate.engine", messages=n_msgs, mode=mode,
-        message_length=message_length, backend=backend,
+        message_length=message_length,
     ) as sp:
         while active and times:
             t_now = heappop(times)
@@ -324,8 +288,8 @@ def simulate_fast(
                     wake_sched[li] = -1
             if movers_raw:
                 movers_raw.sort()
-            if use_numpy and movers_raw and len(movers_raw) >= _VEC_MIN:
-                n_done, top, blats, groups = _classify_bucket(
+            if movers_raw and len(movers_raw) >= _VEC_MIN:
+                n_done, top, blats, groups = _accel.classify_bucket(
                     movers_raw, hop, t_now, tail,
                     nhops_a, route_start_a, flat_a, starts_a,
                 )
@@ -420,14 +384,11 @@ def simulate_fast(
     # far below 2**53), so one bulk pass lands byte-identical to the
     # oracle's per-arrival observations.
     if lats:
-        if use_numpy:
-            _observe_batch(
-                lat_hist, bounds_a, _np.asarray(lats, dtype=_np.int64)
-            )
-        else:
-            observe = lat_hist.observe
-            for v in lats:
-                observe(v)
+        _observe_batch(
+            lat_hist,
+            _np.asarray(LATENCY_BOUNDS, dtype=_np.int64),
+            _np.asarray(lats, dtype=_np.int64),
+        )
 
     used = sorted(
         (int(first_seq[li]), li) for li in range(n_links) if load[li] > 0
@@ -469,7 +430,6 @@ def saturation_sweep(
     mode: str = "store_forward",
     message_length: int = 1,
     workload_params: dict | None = None,
-    use_numpy: bool | None = None,
 ) -> list[dict]:
     """Offered-load vs latency curve: one simulation per rate.
 
@@ -498,7 +458,7 @@ def saturation_sweep(
             mode=mode, message_length=message_length,
         )
         if engine == "fast":
-            res = simulate_fast(network, msgs, use_numpy=use_numpy, **kwargs)
+            res = simulate_fast(network, msgs, **kwargs)
         else:
             res = simulate(network, msgs, **kwargs)
         rows.append({

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import time
 from dataclasses import dataclass
 
@@ -389,15 +390,14 @@ class LayoutServer:
         """Dispatch one request; True keeps the connection usable."""
         obs.count("serve.requests")
         if req.path == "/healthz" and req.method == "GET":
+            alive = self.pool.alive() if self.pool else 0
             await send_json(
                 writer,
-                200,
+                200 if alive else 503,
                 {
                     "schema": SERVE_SCHEMA,
-                    "ok": True,
-                    "workers_alive": (
-                        self.pool.alive() if self.pool else 0
-                    ),
+                    "ok": alive > 0,
+                    "workers_alive": alive,
                 },
                 close=close,
             )
@@ -406,22 +406,10 @@ class LayoutServer:
             await send_json(writer, 200, self.stats(), close=close)
             return True
         if req.path == "/metrics" and req.method == "GET":
-            from repro.accel import backend_info
-            from repro.obs.export import prometheus_info, prometheus_text
+            from repro.obs.export import prometheus_text
 
             oslo.update_slo_gauges(self.slo)
-            info = backend_info()
-            body = (
-                prometheus_text()
-                + prometheus_info(
-                    "accel_backend",
-                    {
-                        "backend": info["accel"],
-                        "table": info["table"],
-                        "engine": info["engine"],
-                    },
-                )
-            ).encode()
+            body = prometheus_text().encode()
             from repro.serve.protocol import send_response
 
             await send_response(
@@ -937,15 +925,25 @@ def _parse_net(network: str):
 
 
 async def run_server(config: ServeConfig) -> None:
-    """Start, announce, and serve until cancelled (the CLI entry)."""
-    server = await LayoutServer(config).start()
-    print(
-        f"repro serve: listening on {config.host}:{server.port} "
-        f"({config.workers} worker{'s' if config.workers != 1 else ''}, "
-        f"cache={'on' if config.cache_dir else 'off'})",
-        flush=True,
-    )
+    """Start, announce, and serve until cancelled (the CLI entry).
+
+    SIGTERM cancels serving just as SIGINT does, so either signal
+    closes the worker pool on the way out instead of orphaning it.
+    """
+    server = LayoutServer(config)
     try:
+        await server.start()
+        # Installed only now: pool workers forked before it keep the
+        # default SIGTERM action, so pool.close() can still stop them.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+        print(
+            f"repro serve: listening on {config.host}:{server.port} "
+            f"({config.workers} worker{'s' if config.workers != 1 else ''}, "
+            f"cache={'on' if config.cache_dir else 'off'})",
+            flush=True,
+        )
         await server.serve_forever()
     except asyncio.CancelledError:
         pass

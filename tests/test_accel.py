@@ -1,73 +1,32 @@
-"""The accel kernel registry: backend parity, byte for byte.
+"""The accel kernels against the scalar checks they accelerate.
 
 Every kernel in :mod:`repro.accel` promises that routing a check
 through it never changes an observable result: validator verdicts and
-error messages, cutwidth values and certificates, and the fast
-engine's ``SimulationResult`` fields must be identical whichever
-backend computed them.  This module checks the pure and numpy backends
-against each other on the same zoo x layers matrix (plus the
-counterexample corpus) as ``test_wiretable.py``, checks the kernelized
-validator against the scalar reference battery on legal *and*
-corrupted layouts, and runs a ``REPRO_ACCEL_BACKEND=pure`` subprocess
-to pin the env override end to end.
+error messages, cutwidth values and certificates must be exactly what
+the scalar definitions give.  This module checks the kernels on the
+same zoo x layers matrix (plus the counterexample corpus) as
+``test_wiretable.py`` -- clean verdicts on legal layouts, and the
+kernelized validator against the scalar reference battery on legal
+*and* corrupted layouts, message text included -- and checks the
+cutwidth DP tables against their defining recurrence.
 """
 
-import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import CASES, cached_layout
 from repro import accel
-from repro.batch.spec import dispatch_scheme
 from repro.check.generate import mutate_layout
-from repro.check.shrink import iter_corpus
-from repro.cli import _zoo_networks
+from repro.grid.dirty import wire_extent
 from repro.grid.io import clone_layout
 from repro.grid.validate import (
     LayoutError,
+    _edge_disjointness_scalar,
+    _parity_scalar,
     _validate_scalar_reference,
     validate_layout,
 )
-
-CORPUS_DIR = Path(__file__).parent / "corpus"
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-_LAYOUT_CACHE: dict = {}
-
-
-def _corpus_networks() -> list:
-    nets = []
-    seen = set()
-    for _path, case in iter_corpus(CORPUS_DIR):
-        if case.network.name not in seen:
-            seen.add(case.network.name)
-            nets.append(case.network)
-    return nets
-
-
-def _cases() -> list:
-    cases = []
-    for net in _zoo_networks():
-        for L in (2, 4):
-            cases.append((f"zoo:{net.name}:L{L}", net, L))
-    for net in _corpus_networks():
-        cases.append((f"corpus:{net.name}:L2", net, 2))
-    return cases
-
-
-_CASES = _cases()
-
-
-def _layout(case_id: str, net, layers: int):
-    lay = _LAYOUT_CACHE.get(case_id)
-    if lay is None:
-        lay = dispatch_scheme(net, layers=layers, scheme="auto")
-        _LAYOUT_CACHE[case_id] = lay
-    return lay
 
 
 def _pin_rows(lay):
@@ -77,84 +36,53 @@ def _pin_rows(lay):
     return u_rows, v_rows
 
 
-# ---------------------------------------------------------------------------
-# Registry semantics
-
-
-class TestRegistry:
-    def test_active_backend_is_registered(self):
-        assert accel.active_backend() in accel.BACKENDS
-        assert "pure" in accel.BACKENDS
-
-    def test_get_backend(self):
-        assert accel.get_backend("pure") is accel.pure
-        assert accel.get_backend() is accel.get_backend(
-            accel.active_backend()
-        )
-        with pytest.raises(ValueError, match="unknown accel backend"):
-            accel.get_backend("bogus")
-
-    def test_backend_info_shape(self):
-        info = accel.backend_info()
-        assert info["accel"] in ("pure", "numpy")
-        assert info["table"] in ("numpy", "fallback")
-        assert info["engine"] in ("numpy", "python")
-        assert isinstance(info["numpy_importable"], bool)
-
-    def test_bad_env_value_rejected(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import repro.accel"],
-            env={**os.environ, "REPRO_ACCEL_BACKEND": "bogus",
-                 "PYTHONPATH": str(SRC_DIR)},
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode != 0
-        assert "REPRO_ACCEL_BACKEND" in proc.stderr
+def test_backend_info_is_constant():
+    assert accel.backend_info() == {
+        "accel": "numpy", "table": "numpy", "engine": "numpy",
+    }
 
 
 # ---------------------------------------------------------------------------
-# Kernel parity: pure vs numpy on legal layouts
+# Kernel verdicts and values on legal layouts
 
 
-@pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
 @pytest.mark.parametrize(
-    "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
+    "case_id,net,layers", CASES, ids=[c[0] for c in CASES]
 )
 def test_kernel_parity_legal(case_id, net, layers):
-    """Every kernel agrees across backends on every zoo/corpus layout."""
-    lay = _layout(case_id, net, layers)
+    """The scalar battery accepts every zoo/corpus layout, so every
+    kernel must return clean -- the conservative ones included, or
+    validation silently drops to the slow scalar path -- and the
+    values kernels compute must equal their scalar definitions."""
+    lay = cached_layout(case_id, net, layers)
     table = lay.wire_table()
-    pure = accel.get_backend("pure")
-    vec = accel.get_backend("numpy")
+    _validate_scalar_reference(lay)
 
-    assert pure.edge_sweep(table) == vec.edge_sweep(table)
-    assert pure.self_consistency_clean(table) == (
-        vec.self_consistency_clean(table)
-    )
-    assert pure.layer_budget_clean(table, lay.layers) == (
-        vec.layer_budget_clean(table, lay.layers)
-    )
-    assert pure.parity_clean(table) == vec.parity_clean(table)
-    assert pure.bend_clean(table) == vec.bend_clean(table)
-    assert pure.via_clean(table) == vec.via_clean(table)
-    assert pure.node_overlap_clean(table) == vec.node_overlap_clean(table)
-    assert pure.node_sweep_clean(table) == vec.node_sweep_clean(table)
-    u_rows, v_rows = _pin_rows(lay)
-    assert pure.pins_clean(table, u_rows, v_rows) == (
-        vec.pins_clean(table, u_rows, v_rows)
-    )
-    pe = pure.wire_extents(table)
-    ve = vec.wire_extents(table)
-    assert [list(a) for a in pe] == [[int(x) for x in a] for a in ve]
+    assert accel.edge_sweep(table) == (_edge_disjointness_scalar(lay), True)
+    assert accel.self_consistency_clean(table)
+    assert accel.layer_budget_clean(table, lay.layers)
+    try:
+        _parity_scalar(lay)
+        parity_ok = True
+    except LayoutError:
+        parity_ok = False
+    assert accel.parity_clean(table) == parity_ok
+    assert accel.bend_clean(table)
+    assert accel.via_clean(table)
+    assert accel.node_overlap_clean(table)
+    assert accel.node_sweep_clean(table)
+    assert accel.pins_clean(table, *_pin_rows(lay))
+    assert list(zip(*accel.wire_extents(table))) == [
+        wire_extent(w) for w in lay.wires
+    ]
 
 
 @pytest.mark.parametrize(
-    "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
+    "case_id,net,layers", CASES, ids=[c[0] for c in CASES]
 )
 def test_kernelized_validator_accepts_legal(case_id, net, layers):
     """The kernelized validator and the scalar battery both accept."""
-    lay = _layout(case_id, net, layers)
+    lay = cached_layout(case_id, net, layers)
     validate_layout(lay)
     _validate_scalar_reference(lay)
 
@@ -165,8 +93,8 @@ def test_kernelized_validator_accepts_legal(case_id, net, layers):
 
 @pytest.mark.parametrize(
     "case_id,net,layers",
-    [c for c in _CASES if c[0].startswith("zoo")][:12],
-    ids=[c[0] for c in _CASES if c[0].startswith("zoo")][:12],
+    [c for c in CASES if c[0].startswith("zoo")][:12],
+    ids=[c[0] for c in CASES if c[0].startswith("zoo")][:12],
 )
 def test_corrupted_verdict_and_message_parity(case_id, net, layers):
     """Kernelized vs scalar: same verdict AND same message, always.
@@ -176,7 +104,7 @@ def test_corrupted_verdict_and_message_parity(case_id, net, layers):
     the diagnosis re-runs the scalar sweep, so even the message text
     matches.
     """
-    base = _layout(case_id, net, layers)
+    base = cached_layout(case_id, net, layers)
     rng = random.Random(hash(case_id) & 0xFFFF)
     for round_no in range(8):
         lay = clone_layout(base)
@@ -202,20 +130,42 @@ def test_corrupted_verdict_and_message_parity(case_id, net, layers):
 # Cutwidth kernels
 
 
+def _multigraph():
+    from repro.topology.base import build_network
+
+    return build_network(
+        range(5), [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 4), (0, 4)],
+        "multi",
+    )
+
+
 class TestCutwidthParity:
-    @pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
     def test_dp_tables_match(self):
+        """``cut[S]`` is the direct crossing-edge count and ``dp`` the
+        defining recurrence ``dp[S] = min_v max(dp[S - v], cut[S])``."""
         from repro.topology import CompleteGraph, Hypercube, Ring
 
-        for net in (Ring(7), Hypercube(3), CompleteGraph(5)):
+        for net in (Ring(7), Hypercube(3), CompleteGraph(5), _multigraph()):
             n = net.num_nodes
-            dp_p, cut_p = accel.get_backend("pure").cutwidth_dp(net, n)
-            dp_v, cut_v = accel.get_backend("numpy").cutwidth_dp(net, n)
-            assert list(dp_p) == [int(x) for x in dp_v]
-            assert list(cut_p) == [int(x) for x in cut_v]
+            index = net.index
+            dp, cut = accel.cutwidth_dp(net, n)
+            ref_dp = [0] * (1 << n)
+            for s in range(1 << n):
+                crossing = sum(
+                    ((s >> index[u]) & 1) != ((s >> index[v]) & 1)
+                    for u, v in net.edges
+                )
+                assert int(cut[s]) == crossing, (net.name, s)
+                if s:
+                    ref_dp[s] = min(
+                        max(ref_dp[s & ~(1 << u)], crossing)
+                        for u in range(n)
+                        if (s >> u) & 1
+                    )
+            assert [int(x) for x in dp] == ref_dp, net.name
 
-    @pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
     def test_cut_profile_matches(self):
+        """The difference-array profile equals a direct per-gap count."""
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randint(1, 12)
@@ -225,9 +175,10 @@ class TestCutwidthParity:
                 if a > b:
                     a, b = b, a
                 pairs.append((a, b))
-            p = accel.get_backend("pure").cut_profile(n, pairs)
-            v = accel.get_backend("numpy").cut_profile(n, pairs)
-            assert p == v
+            direct = max(
+                sum(1 for a, b in pairs if a <= gap < b) for gap in range(n)
+            )
+            assert accel.cut_profile(n, pairs) == direct
 
     def test_certificate_profile_equals_dp_value(self):
         from repro.collinear.cutwidth import (
@@ -242,108 +193,3 @@ class TestCutwidthParity:
             assert sorted(map(repr, order)) == sorted(
                 map(repr, net.nodes)
             )
-
-
-# ---------------------------------------------------------------------------
-# Engine kernel
-
-
-@pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
-def test_classify_bucket_parity():
-    """Synthetic buckets: arrivals, latencies, and link groups match."""
-    import numpy as np
-
-    rng = random.Random(23)
-    pure = accel.get_backend("pure")
-    vec = accel.get_backend("numpy")
-    for trial in range(30):
-        n_msgs = rng.randint(20, 80)
-        nhops = [rng.randint(0, 5) for _ in range(n_msgs)]
-        offsets = [0]
-        flat = []
-        for h in nhops:
-            flat.extend(rng.randrange(10) for _ in range(h))
-            offsets.append(len(flat))
-        starts = [rng.randint(0, 4) for _ in range(n_msgs)]
-        hop = [rng.randint(0, nhops[i]) for i in range(n_msgs)]
-        movers = sorted(rng.sample(range(n_msgs), rng.randint(16, n_msgs)))
-        t_now = rng.randint(5, 40)
-        tail = rng.choice((0, 3))
-        p = pure.classify_bucket(
-            movers, hop, t_now, tail, nhops, offsets[:-1], flat, starts
-        )
-        v = vec.classify_bucket(
-            movers, hop, t_now, tail,
-            np.asarray(nhops, dtype=np.int64),
-            np.asarray(offsets[:-1], dtype=np.int64),
-            np.asarray(flat, dtype=np.int64),
-            np.asarray(starts, dtype=np.int64),
-        )
-        assert p[0] == v[0], f"trial {trial}: n_done"
-        if p[0]:
-            assert p[1] == v[1], f"trial {trial}: top"
-        assert p[2] == v[2], f"trial {trial}: done_lats"
-        assert p[3] == v[3], f"trial {trial}: groups"
-
-
-# ---------------------------------------------------------------------------
-# Env override, end to end
-
-
-_SUBPROC_SCRIPT = r"""
-import json, sys
-from repro import accel
-from repro.batch.spec import dispatch_scheme
-from repro.cli import _zoo_networks
-from repro.collinear.cutwidth import exact_cutwidth
-from repro.grid.validate import validate_layout
-from repro.routing.engine import HAVE_NUMPY, simulate_fast
-from repro.routing.traffic import make_workload
-from repro.topology import Hypercube, Ring
-
-out = {
-    "active": accel.active_backend(),
-    "engine_numpy": HAVE_NUMPY,
-    "info": accel.backend_info(),
-}
-net = Hypercube(3)
-lay = dispatch_scheme(net, layers=4, scheme="auto")
-out["report"] = validate_layout(lay)
-out["cutwidth"] = exact_cutwidth(Ring(7))
-msgs = make_workload("uniform", net, seed=5, rate=0.4, duration=6)
-out["sim"] = simulate_fast(net, msgs).as_dict()
-json.dump(out, sys.stdout)
-"""
-
-
-def _run_subproc(env_extra: dict) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROC_SCRIPT],
-        env={**os.environ, "PYTHONPATH": str(SRC_DIR), **env_extra},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_forced_pure_backend_matches_active():
-    """``REPRO_ACCEL_BACKEND=pure`` flips every backend and changes
-    no observable result: validator report, cutwidth, engine fields."""
-    pure = _run_subproc({"REPRO_ACCEL_BACKEND": "pure"})
-    assert pure["active"] == "pure"
-    assert pure["engine_numpy"] is False
-    assert pure["info"]["accel"] == "pure"
-    assert pure["info"]["engine"] == "python"
-
-    default = _run_subproc({})
-    assert pure["report"] == default["report"]
-    assert pure["cutwidth"] == default["cutwidth"]
-    assert pure["sim"] == default["sim"]
-
-
-@pytest.mark.skipif(not accel.HAVE_NUMPY, reason="numpy not importable")
-def test_forced_numpy_backend(monkeypatch):
-    out = _run_subproc({"REPRO_ACCEL_BACKEND": "numpy"})
-    assert out["active"] == "numpy"
-    assert out["info"]["accel_env"] == "numpy"

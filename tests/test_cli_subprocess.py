@@ -259,6 +259,22 @@ class TestSaturationDegenerate:
         assert "knee detection needs" not in p.stdout
 
 
+def _child_pids(pid: int) -> list[int]:
+    """Direct children of ``pid``, from every thread's procfs list."""
+    kids: list[int] = []
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        kids += [int(tok) for tok in path.read_text().split()]
+    return kids
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestServeLoadgenCli:
     """The daemon + load generator as real processes, like CI runs them."""
 
@@ -270,6 +286,7 @@ class TestServeLoadgenCli:
         trace_path = tmp_path / "trace.jsonl"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC)
+        workers: list[int] = []
         server = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -307,10 +324,22 @@ class TestServeLoadgenCli:
             )
             assert p.returncode == 0, p.stderr
             assert "20/20 ok" in p.stdout
-        finally:
+
+            # SIGTERM must shut the pool down with the daemon: no
+            # worker may outlive it as an orphan.
+            workers = _child_pids(server.pid)
+            assert len(workers) == 2, workers
             server.terminate()
-            try:
-                server.wait(timeout=10)
-            except subprocess.TimeoutExpired:
+            assert server.wait(timeout=15) == 0
+            deadline = time.time() + 10
+            while any(map(_pid_alive, workers)) and time.time() < deadline:
+                time.sleep(0.1)
+            survivors = [pid for pid in workers if _pid_alive(pid)]
+            assert not survivors, f"pool workers outlived SIGTERM: {survivors}"
+        finally:
+            if server.poll() is None:
                 server.kill()
                 server.wait(timeout=10)
+            for pid in workers:
+                if _pid_alive(pid):
+                    os.kill(pid, 9)

@@ -20,6 +20,7 @@ from repro.topology import (
     Hypercube,
     KAryNCube,
     Ring,
+    StarGraph,
 )
 from repro.topology.base import build_network
 
@@ -132,25 +133,58 @@ class TestNodeLimit:
         assert exact_cutwidth(net, limit=4) == 1
 
 
-class TestFallbackAgreement:
-    """The pure-Python DP and the vectorized DP are interchangeable."""
+def _brute_force_cutwidth(net) -> int:
+    """Min over every node order of its max prefix cut, by exhaustive
+    enumeration; each prefix cut is a direct crossing-edge count."""
+    nodes = list(net.nodes)
+    edges = list(net.edges)
+    best = len(edges)
+
+    def extend(prefix: set, worst: int) -> None:
+        nonlocal best
+        if len(prefix) == len(nodes):
+            best = min(best, worst)
+            return
+        for v in nodes:
+            if v not in prefix:
+                prefix.add(v)
+                cut = sum((a in prefix) != (b in prefix) for a, b in edges)
+                extend(prefix, max(worst, cut))
+                prefix.remove(v)
+
+    extend(set(), 0)
+    return best
+
+
+class TestBruteForce:
+    """The DP against min-over-permutations max-cut, n <= 8 nodes."""
 
     @pytest.mark.parametrize(
         "net",
-        [Ring(7), Hypercube(3), CompleteGraph(6), KAryNCube(3, 2),
-         build_network([0, 1, 2], [(0, 1), (0, 1), (1, 2)], "multi")],
+        [Ring(7), Hypercube(3), CompleteGraph(6), StarGraph(3),
+         build_network([0, 1, 2], [(0, 1), (0, 1), (1, 2)], "multi"),
+         build_network(
+             range(6),
+             [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 4),
+              (4, 5), (5, 0), (1, 4)],
+             "multi-6",
+         )],
         ids=lambda n: n.name,
     )
-    def test_python_fallback_matches(self, net, monkeypatch):
-        from repro import accel
-        from repro.collinear import cutwidth as mod
-
-        reference = exact_cutwidth(net)
-        pure = accel.get_backend("pure")
-        monkeypatch.setattr(mod._accel, "get_backend", lambda name=None: pure)
+    def test_matches_brute_force(self, net):
+        reference = _brute_force_cutwidth(net)
         assert exact_cutwidth(net) == reference
         cw, order = cutwidth_certificate(net)
         assert cw == reference
+        pos = {v: i for i, v in enumerate(order)}
+        gaps = [
+            sum(
+                1 for a, b in net.edges
+                if min(pos[a], pos[b]) <= gap < max(pos[a], pos[b])
+            )
+            for gap in range(len(order) - 1)
+        ]
+        assert max(gaps) == reference
         lay = collinear_layout(net.nodes, net.edges, order)
         assert lay.num_tracks == reference
 

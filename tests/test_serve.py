@@ -10,6 +10,9 @@ deterministic instead of scheduler-lucky.
 
 import asyncio
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -331,6 +334,24 @@ class TestIntrospection:
             assert "repro_serve_request_ms_bucket" in text
 
         _serve(t, cache_dir=str(tmp_path / "cache"))
+
+    def test_healthz_unhealthy_without_live_workers(self):
+        async def t(server, port):
+            for proc in server.pool._procs:
+                os.kill(proc.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while True:
+                st, _, body = await http_request(
+                    "127.0.0.1", port, "GET", "/healthz"
+                )
+                if st == 503 or time.monotonic() > deadline:
+                    break
+                await asyncio.sleep(0.05)
+            doc = json.loads(body)
+            assert st == 503
+            assert doc["ok"] is False and doc["workers_alive"] == 0
+
+        _serve(t, workers=2)
 
     def test_keepalive_serves_multiple_requests(self, tmp_path):
         async def t(server, port):

@@ -1,79 +1,55 @@
 """WireTable parity: the geometry kernel vs the object graph, exactly.
 
 Every consumer rerouted onto :class:`~repro.grid.table.WireTable`
-(metrics, delays, serialization, renderers) promises *byte-identical*
-outputs.  This module checks that promise on the full topology zoo at
-two layer budgets plus every network in the counterexample corpus, and
-checks the numpy arrays against the pure-python fallback in-process
-(``WireTable(lay, use_numpy=False)``), so it is meaningful both with
-and without numpy installed -- CI runs it once in each mode.
+(metrics, delays, serialization, renderers, the oracle's occupancy
+expansion) promises *byte-identical* outputs.  This module checks that
+promise on the full topology zoo at two layer budgets plus every
+network in the counterexample corpus: table accessors against walks of
+the ``Wire``/``Segment`` object graph, and rendered bytes against the
+SHA-256 digests recorded in ``render_digests.json``.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from conftest import CASES, cached_layout
 from repro.batch.spec import dispatch_scheme
-from repro.check.shrink import iter_corpus
-from repro.cli import _zoo_networks
+from repro.grid import GridLayout, Rect, Wire, validate_layout
 from repro.grid.io import layout_to_json
-from repro.grid.table import HAVE_NUMPY, WireTable
+from repro.grid.oracle import oracle_validate
 from repro.routing.paths import layout_link_delays
 from repro.viz.ascii_art import ascii_grid_layout
 from repro.viz.svg import svg_layer_stack, svg_layout
 
-CORPUS_DIR = Path(__file__).parent / "corpus"
-
-_LAYOUT_CACHE: dict = {}
-
-
-def _corpus_networks() -> list:
-    nets = []
-    seen = set()
-    for _path, case in iter_corpus(CORPUS_DIR):
-        if case.network.name not in seen:
-            seen.add(case.network.name)
-            nets.append(case.network)
-    return nets
-
-
-def _cases() -> list:
-    cases = []
-    for net in _zoo_networks():
-        for L in (2, 4):
-            cases.append((f"zoo:{net.name}:L{L}", net, L))
-    for net in _corpus_networks():
-        cases.append((f"corpus:{net.name}:L2", net, 2))
-    return cases
-
-
-_CASES = _cases()
-
-
-def _layout(case_id: str, net, layers: int):
-    lay = _LAYOUT_CACHE.get(case_id)
-    if lay is None:
-        lay = dispatch_scheme(net, layers=layers, scheme="auto")
-        _LAYOUT_CACHE[case_id] = lay
-    return lay
-
-
-def _install_table(lay, table) -> None:
-    """Plant ``table`` as the layout's cached kernel (test-only)."""
-    lay._table = table
-    lay._table_stamp = (len(lay.placements), tuple(map(id, lay.wires)))
+DIGESTS = Path(__file__).parent / "render_digests.json"
 
 
 def _ceil_delay(length: int, alpha: float, base: float) -> int:
     return max(1, int(-(-(base + alpha * length) // 1)))
 
 
+def _walk_bounds(lay):
+    """``(x0, y0, x1, y1)`` over node rects and segment endpoints."""
+    xs, ys = [], []
+    for p in lay.placements.values():
+        xs += [p.rect.x0, p.rect.x1]
+        ys += [p.rect.y0, p.rect.y1]
+    for w in lay.wires:
+        for s in w.segments:
+            xs += [s.x1, s.x2]
+            ys += [s.y1, s.y2]
+    return (min(xs), min(ys), max(xs), max(ys)) if xs else None
+
+
 @pytest.mark.parametrize(
-    "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
+    "case_id,net,layers", CASES, ids=[c[0] for c in CASES]
 )
 def test_object_graph_parity(case_id, net, layers):
     """Table accessors == per-wire object walks, wire by wire."""
-    lay = _layout(case_id, net, layers)
+    lay = cached_layout(case_id, net, layers)
     table = lay.wire_table()
     wires = lay.wires
     assert table.num_wires == len(wires)
@@ -87,6 +63,7 @@ def test_object_graph_parity(case_id, net, layers):
 
     starts = table.wire_seg_start
     seg_rows = table.segment_rows()
+    sx, sy, ex, ey = (a.tolist() for a in table.wire_endpoints())
     for wi, w in enumerate(wires):
         rows = seg_rows[int(starts[wi]):int(starts[wi + 1])]
         assert rows == [
@@ -95,6 +72,11 @@ def test_object_graph_parity(case_id, net, layers):
         assert table.wire_segment_rows(wi) == rows
         assert table.wire_vias(wi) == w.vias()
         assert table.wire_zruns(wi) == w.z_occupancy()
+        if w.riser is None:
+            assert (sx[wi], sy[wi]) == w.start.planar()
+            assert (ex[wi], ey[wi]) == w.end.planar()
+        else:
+            assert (sx[wi], sy[wi]) == (ex[wi], ey[wi]) == w.riser[:2]
 
     for alpha, base in ((1.0, 1.0), (0.37, 2.5)):
         got = layout_link_delays(lay, alpha=alpha, base=base)
@@ -108,57 +90,136 @@ def test_object_graph_parity(case_id, net, layers):
 
 
 @pytest.mark.parametrize(
-    "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
+    "case_id,net,layers", CASES, ids=[c[0] for c in CASES]
 )
 def test_numpy_vs_fallback_parity(case_id, net, layers):
-    """Both backends produce identical values from identical layouts."""
-    lay = _layout(case_id, net, layers)
-    t_fb = WireTable(lay, use_numpy=False)
-    t_nat = lay.wire_table()  # whatever backend the install selected
+    """Whole-table numpy arrays == the pure-python reference walk.
 
-    assert t_fb.bounds() == t_nat.bounds()
-    assert t_fb.wire_lengths() == t_nat.wire_lengths()
-    assert t_fb.via_count() == t_nat.via_count()
-    assert t_fb.layers_used() == t_nat.layers_used()
-    assert t_fb.segment_rows() == t_nat.segment_rows()
-    assert list(t_fb.wire_seg_start) == list(t_nat.wire_seg_start)
-    assert t_fb.zrun_rows() == t_nat.zrun_rows()
+    The reference is a plain walk of the ``Wire``/``Segment`` objects
+    (``Segment.planar_points`` for the oracle's occupancy expansion):
+    the same values the deleted ``array('q')`` fallback table stored,
+    computed without any table at all.
+    """
+    lay = cached_layout(case_id, net, layers)
+    table = lay.wire_table()
+    wires = lay.wires
+
+    assert table.bounds() == _walk_bounds(lay)
+    assert table.segment_rows() == [
+        [s.x1, s.y1, s.x2, s.y2, s.layer] for w in wires for s in w.segments
+    ]
+    seg_start = [0]
+    for w in wires:
+        seg_start.append(seg_start[-1] + len(w.segments))
+    assert table.wire_seg_start.tolist() == seg_start
+    assert table.zrun_rows() == [r for w in wires for r in w.z_occupancy()]
     for alpha, base in ((1.0, 1.0), (0.37, 2.5)):
-        assert t_fb.link_delay_values(alpha=alpha, base=base) == (
-            t_nat.link_delay_values(alpha=alpha, base=base)
-        )
-    for wi in range(t_nat.num_wires):
-        assert t_fb.wire_unit_edges(wi) == t_nat.wire_unit_edges(wi)
-        assert t_fb.wire_cover_points(wi) == t_nat.wire_cover_points(wi)
-        assert t_fb.wire_cover_point_rows(wi) == (
-            t_nat.wire_cover_point_rows(wi)
-        )
+        assert table.link_delay_values(alpha=alpha, base=base) == [
+            _ceil_delay(w.length, alpha, base) for w in wires
+        ]
+
+    # The oracle's occupancy expansion: every unit edge and grid point
+    # of each segment, in path order, ascending coordinate.
+    for wi, w in enumerate(wires):
+        edges, points, point_rows = [], [], []
+        for s in w.segments:
+            pts = [(x, y, s.layer) for x, y in s.planar_points()]
+            edges += list(zip(pts, pts[1:]))
+            points += pts
+            point_rows += [[*p, int(s.horizontal)] for p in pts]
+        assert table.wire_unit_edges(wi) == edges
+        assert table.wire_cover_points(wi) == points
+        assert table.wire_cover_point_rows(wi) == point_rows
+
+
+def _riser_only_layout() -> GridLayout:
+    """Two risers between stacked nodes: wires and vias, no segments."""
+    lay = GridLayout(layers=4)
+    lay.place("a", Rect(0, 0, 2, 2), layer=1)
+    lay.place("b", Rect(0, 0, 2, 2), layer=4)
+    lay.place("c", Rect(4, 0, 2, 2), layer=1)
+    lay.place("d", Rect(4, 0, 2, 2), layer=3)
+    lay.add_wire(Wire.make_riser("a", "b", 2, 1, 1, 4))
+    lay.add_wire(Wire.make_riser("c", "d", 4, 2, 1, 3))
+    return lay
+
+
+_SEGMENTLESS = {
+    "empty": lambda: GridLayout(layers=2),
+    "riser-only": _riser_only_layout,
+}
+
+
+def _render_digests(lay) -> dict:
+    outputs = {
+        "json": layout_to_json(lay),
+        "svg": svg_layout(lay, legend=True),
+        "stack": svg_layer_stack(lay),
+        "ascii": ascii_grid_layout(lay, max_width=10_000),
+    }
+    return {
+        k: hashlib.sha256(v.encode()).hexdigest() for k, v in outputs.items()
+    }
+
+
+def write_render_digests() -> None:
+    """Rewrite ``render_digests.json`` from the current renderers."""
+    doc = {
+        case_id: _render_digests(cached_layout(case_id, net, layers))
+        for case_id, net, layers in CASES
+    }
+    for name, make in _SEGMENTLESS.items():
+        doc[name] = _render_digests(make())
+    DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def _recorded(case_id: str) -> dict:
+    return json.loads(DIGESTS.read_text())[case_id]
 
 
 @pytest.mark.parametrize(
-    "case_id,net,layers", _CASES, ids=[c[0] for c in _CASES]
+    "case_id,net,layers", CASES, ids=[c[0] for c in CASES]
 )
 def test_rendered_bytes_parity(case_id, net, layers):
-    """JSON, SVGs and ASCII are byte-identical across backends."""
-    lay = _layout(case_id, net, layers)
-    native = (
-        layout_to_json(lay),
-        svg_layout(lay, legend=True),
-        svg_layer_stack(lay),
-        ascii_grid_layout(lay, max_width=10_000),
-    )
-    _install_table(lay, WireTable(lay, use_numpy=False))
-    try:
-        fallback = (
-            layout_to_json(lay),
-            svg_layout(lay, legend=True),
-            svg_layer_stack(lay),
-            ascii_grid_layout(lay, max_width=10_000),
-        )
-    finally:
-        lay.invalidate_table()
-    for name, a, b in zip(("json", "svg", "stack", "ascii"), native, fallback):
-        assert a == b, f"{name} output differs between backends"
+    """JSON, SVGs and ASCII match the recorded digests, byte for byte.
+
+    ``render_digests.json`` holds the SHA-256 of each renderer's
+    output per case.  Regenerate it -- only for an intended change to
+    rendered output -- with::
+
+        PYTHONPATH=src:tests python -c \\
+            "import test_wiretable as t; t.write_render_digests()"
+    """
+    lay = cached_layout(case_id, net, layers)
+    assert _render_digests(lay) == _recorded(case_id)
+
+
+@pytest.mark.parametrize("name", sorted(_SEGMENTLESS))
+def test_segmentless_tables(name):
+    """Zero-segment tables: empty arrays flow through every accessor,
+    the oracle, the validator and the renderers."""
+    lay = _SEGMENTLESS[name]()
+    table = lay.wire_table()
+    W = len(lay.wires)
+    assert table.num_segments == 0
+    assert table.segment_rows() == []
+    assert table.bounds() == _walk_bounds(lay)
+    expected_layers: set = set()
+    for w in lay.wires:
+        expected_layers |= w.layers_used()
+    assert table.layers_used() == expected_layers
+    pts = [w.riser[:2] for w in lay.wires]
+    assert [a.tolist() for a in table.wire_endpoints()] == [
+        [x for x, _ in pts], [y for _, y in pts],
+    ] * 2
+    assert table._unit_expansion() == ([], [0] * (W + 1), [], [0] * (W + 1))
+    for wi, w in enumerate(lay.wires):
+        assert table.wire_unit_edges(wi) == []
+        assert table.wire_cover_points(wi) == []
+        assert table.wire_zruns(wi) == w.z_occupancy()
+    assert validate_layout(lay)["segments"] == 0
+    oracle_validate(lay)
+    assert _render_digests(lay) == _recorded(name)
 
 
 def test_table_cache_invalidation():
@@ -168,8 +229,6 @@ def test_table_cache_invalidation():
     lay = dispatch_scheme(Ring(6), layers=2, scheme="auto")
     t1 = lay.wire_table()
     assert lay.wire_table() is t1  # cached
-
-    from repro.grid.wire import Wire
 
     w0 = lay.wires[0]
     lay.wires[0] = Wire(
@@ -195,7 +254,6 @@ def test_table_cache_survives_id_reuse():
     cannot be recycled while the cache lives), and the mutation API
     drops the cache without consulting the stamp at all.
     """
-    from repro.grid.wire import Wire
     from repro.topology import Ring
 
     lay = dispatch_scheme(Ring(6), layers=2, scheme="auto")
@@ -214,35 +272,3 @@ def test_table_cache_survives_id_reuse():
     # The old stamp kept w0 alive until the rebuild; the new one holds
     # the replacement.
     assert lay._table_stamp[1][0] is lay.wires[0]
-
-
-def test_fallback_env_flag():
-    """REPRO_TABLE_FALLBACK=1 forces the pure-python backend."""
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, REPRO_TABLE_FALLBACK="1")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.grid.table import HAVE_NUMPY; print(HAVE_NUMPY)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_fallback_storage_is_compact():
-    """nbytes() is meaningful in both backends (fallback uses
-    array('q'), not python lists), and both report identical sizes for
-    the core arrays."""
-    from repro.topology import Hypercube
-
-    lay = dispatch_scheme(Hypercube(4), layers=2, scheme="auto")
-    t_fb = WireTable(lay, use_numpy=False)
-    n_fb = t_fb.nbytes()
-    assert n_fb > 0
-    if HAVE_NUMPY:
-        t_np = WireTable(lay, use_numpy=True)
-        assert t_np.nbytes() == n_fb
