@@ -57,7 +57,6 @@ __all__ = [
     "JobResult",
     "SweepResult",
     "SweepRunner",
-    "reroot_worker_spans",
     "run_sweep_job",
 ]
 
@@ -338,33 +337,6 @@ def _worker_main(payload: dict) -> None:
     )
 
 
-def reroot_worker_spans(
-    worker_id: int, span_docs: list, **attrs
-) -> None:
-    """Attach a worker's serialized span forest to the live trace.
-
-    The forest is rebuilt and wrapped in one ``sweep.worker`` span
-    whose attrs carry ``worker_id`` (the exporters key process rows
-    off it) plus anything the caller adds; timing is derived from the
-    children (monotonic clocks are shared across ``fork``, so child
-    timestamps line up with the parent's spans).  No-op when tracing
-    is disabled or the worker produced no spans.
-    """
-    if not span_docs or not obs.enabled():
-        return
-    children = [obs.SpanRecord.from_dict(d) for d in span_docs]
-    start = min((c.start for c in children if c.start), default=0.0)
-    end = max((c.end() for c in children), default=start)
-    wrapper = obs.SpanRecord(
-        name="sweep.worker",
-        attrs={"worker_id": worker_id, **attrs},
-        start=start,
-        duration=max(0.0, end - start),
-        children=children,
-    )
-    obs.attach(wrapper)
-
-
 class SweepRunner:
     """Executes sweep specs with worker fan-out and a shared cache."""
 
@@ -590,12 +562,8 @@ class SweepRunner:
         )
         observe = obs.enabled()
         run_ctx = ocontext.current_context()
-        log_path = None
+        log_path = olog.log_path()
         cfg_run_id = olog.run_id()
-        if olog.configured():
-            from repro.obs.logging import _config as _log_cfg
-
-            log_path = _log_cfg.path if _log_cfg is not None else None
         ctx = _mp_context()
         procs = []
         for wid, s in enumerate(slices):
@@ -701,7 +669,7 @@ class SweepRunner:
             out.cache_stats.merge(doc.get("cache_stats", {}))
             if doc.get("snapshot") and obs.enabled():
                 obs.registry().merge(doc["snapshot"])
-            reroot_worker_spans(
+            obs.reroot_worker_spans(
                 wid, doc.get("spans", []),
                 jobs=len(indices),
                 indices=",".join(str(i) for i in sorted(indices)),

@@ -712,8 +712,6 @@ def _run_fuzz_parallel(
 
     from repro.batch.runner import _mp_context
 
-    from repro.batch.runner import reroot_worker_spans
-
     payloads = [
         (wid, workers) + payload_base for wid in range(workers)
     ]
@@ -751,7 +749,7 @@ def _run_fuzz_parallel(
                 failures.append((doc["index"], res))
             if out["snapshot"] and obs.enabled():
                 obs.registry().merge(out["snapshot"])
-            reroot_worker_spans(
+            obs.reroot_worker_spans(
                 wid, out["spans"], cases=out["cases_run"]
             )
     if watchdog is not None:
@@ -826,13 +824,6 @@ def run_fuzz(
                 "fuzz.start", seed=seed, budget=budget, workers=workers
             )
             if workers > 1:
-                log_path = None
-                if olog.configured():
-                    from repro.obs.logging import _config as _log_cfg
-
-                    log_path = (
-                        _log_cfg.path if _log_cfg is not None else None
-                    )
                 _run_fuzz_parallel(
                     report,
                     workers,
@@ -843,7 +834,7 @@ def run_fuzz(
                         None if cache_dir is None else str(cache_dir),
                         obs.enabled(),
                         run_dir,
-                        log_path,
+                        olog.log_path(),
                         olog.run_id(),
                     ),
                     max_failures,

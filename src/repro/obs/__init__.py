@@ -3,7 +3,8 @@
 Zero-dependency observability for the layout pipeline:
 
 * :func:`span` -- nestable timing spans with attributes and counts,
-  collected into a tree by a thread-safe in-process collector
+  nesting separately per thread and per asyncio task, rooted in a
+  process-wide forest or a :func:`collect` scope
   (:mod:`repro.obs.trace`);
 * :func:`count` / :func:`observe` / :func:`gauge` -- named counters,
   histograms, and gauges in a process-wide registry
@@ -38,7 +39,6 @@ from repro.obs import slo  # noqa: F401  (latency objectives, burn rate)
 from repro.obs.context import (
     RequestLog,
     RequestRecord,
-    RequestTrace,
     TraceContext,
     current_context,
     new_context,
@@ -72,6 +72,7 @@ from repro.obs.trace import (
     Span,
     SpanRecord,
     attach,
+    collect,
     current_span_name,
     disable,
     enable,
@@ -79,6 +80,7 @@ from repro.obs.trace import (
     find_spans,
     format_span_tree,
     phase_totals,
+    reroot_worker_spans,
     reset_trace,
     span,
     span_names,
@@ -95,7 +97,9 @@ __all__ = [
     "span",
     "Span",
     "SpanRecord",
+    "collect",
     "attach",
+    "reroot_worker_spans",
     "trace_roots",
     "reset_trace",
     "phase_totals",
@@ -106,7 +110,6 @@ __all__ = [
     # trace context + request telemetry
     "context",
     "TraceContext",
-    "RequestTrace",
     "RequestLog",
     "RequestRecord",
     "new_context",

@@ -170,6 +170,15 @@ def run_id() -> str | None:
     return _config.run_id if _config is not None else None
 
 
+def log_path() -> str | None:
+    """The active sink's file path, or None (unconfigured or stream).
+
+    Worker payloads carry it so a ``spawn``-started child can reopen
+    the same sink.
+    """
+    return _config.path if _config is not None else None
+
+
 def set_worker_id(worker_id: int | None) -> None:
     """Stamp subsequent records with ``worker_id`` (workers call this)."""
     if _config is not None:

@@ -1,4 +1,4 @@
-"""Nestable tracing spans with a thread-safe in-process collector.
+"""Nestable tracing spans, collected per thread, task and process.
 
 A *span* brackets one pipeline phase (``with span("route_row_links")``)
 and records wall time, custom attributes, and ad-hoc counts.  Spans
@@ -8,17 +8,28 @@ run yields a tree mirroring the pipeline's call structure
 
 Tracing is **off by default** and the disabled path is a single module
 global check returning a shared no-op span, so instrumentation costs
-~nothing unless :func:`enable` was called.  The collector keeps one
-span stack per thread (spans opened on different threads never
-interleave into each other's trees) and guards the shared root list
-with a lock, so concurrent traced runs are safe.
+~nothing unless :func:`enable` was called.
+
+The open span lives in a :class:`contextvars.ContextVar`, so nesting
+follows the flow of control: every thread starts with no span open,
+and every asyncio task inherits the span open where it was created --
+two requests multiplexed on one event loop build two separate trees.
+A span opened with no open parent is a *root*: it lands in the forest
+of the innermost :func:`collect` scope, else in the lock-guarded
+process-global root list that :func:`trace_roots` returns.  Worker
+processes ship their forests home as dicts, and
+:func:`reroot_worker_spans` grafts each under the span open in the
+parent.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Iterator
 
 __all__ = [
     "Span",
@@ -28,7 +39,9 @@ __all__ = [
     "disable",
     "enabled",
     "span",
+    "collect",
     "attach",
+    "reroot_worker_spans",
     "trace_roots",
     "reset_trace",
     "phase_totals",
@@ -67,7 +80,7 @@ class SpanRecord:
 
         This is how worker processes ship their span forests home:
         serialize with ``as_dict``, rebuild in the parent, re-root
-        under a per-worker span (see :func:`attach`).
+        under a per-worker span (see :func:`reroot_worker_spans`).
         """
         return cls(
             name=data["name"],
@@ -95,66 +108,62 @@ class SpanRecord:
             stack.extend(reversed(rec.children))
 
 
-class _Collector:
-    """Thread-safe span sink: per-thread stacks, shared root list."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._roots: list[SpanRecord] = []
-        self._local = threading.local()
-
-    def _stack(self) -> list[SpanRecord]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def push(self, rec: SpanRecord) -> None:
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(rec)
-        else:
-            with self._lock:
-                self._roots.append(rec)
-        stack.append(rec)
-
-    def pop(self, rec: SpanRecord) -> None:
-        stack = self._stack()
-        # Pop back to (and including) rec; tolerates a span closed out
-        # of order rather than corrupting the tree.
-        while stack:
-            if stack.pop() is rec:
-                break
-
-    def roots(self) -> list[SpanRecord]:
-        with self._lock:
-            return list(self._roots)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._roots.clear()
-        self._local = threading.local()
+#: The innermost open :class:`Span` of the running thread or asyncio
+#: task.  A new thread starts with none open; an asyncio task starts
+#: with its creator's, so its spans nest under the span that spawned
+#: it and never under a stranger's multiplexed on the same loop.
+_current: ContextVar["Span | None"] = ContextVar(
+    "repro_open_span", default=None
+)
+#: The root sink of the innermost :func:`collect` scope, or None for
+#: the process-global root list.
+_sink: ContextVar["list[SpanRecord] | None"] = ContextVar(
+    "repro_span_sink", default=None
+)
+_roots: list[SpanRecord] = []
+_roots_lock = threading.Lock()
 
 
-_collector = _Collector()
+def _add(rec: SpanRecord, parent: "Span | None") -> None:
+    """Hang ``rec`` under ``parent``, else on the current root sink."""
+    if parent is not None:
+        parent._rec.children.append(rec)
+        return
+    sink = _sink.get()
+    if sink is not None:
+        sink.append(rec)
+    else:
+        with _roots_lock:
+            _roots.append(rec)
 
 
 class Span:
     """Context manager recording one :class:`SpanRecord`."""
 
-    __slots__ = ("_rec",)
+    __slots__ = ("_rec", "_parent", "_closed")
 
     def __init__(self, name: str, attrs: dict):
         self._rec = SpanRecord(name=name, attrs=attrs)
+        self._parent: Span | None = None
+        self._closed = False
 
     def __enter__(self) -> "Span":
         self._rec.start = time.perf_counter()
-        _collector.push(self._rec)
+        self._parent = _current.get()
+        _add(self._rec, self._parent)
+        _current.set(self)
         return self
 
     def __exit__(self, *exc) -> bool:
         self._rec.duration = time.perf_counter() - self._rec.start
-        _collector.pop(self._rec)
+        self._closed = True
+        if _current.get() is self:
+            # Reopen the nearest still-open ancestor; tolerates a span
+            # closed out of order rather than corrupting the tree.
+            parent = self._parent
+            while parent is not None and parent._closed:
+                parent = parent._parent
+            _current.set(parent)
         return False
 
     def set(self, **attrs) -> "Span":
@@ -203,27 +212,71 @@ def span(name: str, /, **attrs):
     return Span(name, attrs)
 
 
+@contextmanager
+def collect() -> Iterator[list[SpanRecord]]:
+    """Scope a root sink: ``with collect() as forest:``.
+
+    Inside the block no span is open at first, and every span opened
+    without an open parent lands in ``forest`` instead of the
+    process-global root list -- one request's tree in the server, one
+    job's forest in a pool worker.  Asyncio tasks created inside
+    inherit the sink; a new thread starts outside it, like any other
+    context variable.
+    """
+    forest: list[SpanRecord] = []
+    sink_token = _sink.set(forest)
+    span_token = _current.set(None)
+    try:
+        yield forest
+    finally:
+        _current.reset(span_token)
+        _sink.reset(sink_token)
+
+
 def attach(rec: SpanRecord) -> None:
     """Graft an already-built span tree into the live trace.
 
-    The subtree lands under the innermost span currently open on this
-    thread, or as a new root when none is open.  This is the parent
-    side of cross-process tracing: worker forests come home as dicts,
-    are rebuilt with :meth:`SpanRecord.from_dict`, wrapped in a
-    per-worker span, and attached under the orchestrating span.
+    The subtree lands under the innermost open span, else as a root
+    of the current sink (see :func:`collect`).  This is the parent
+    side of cross-process tracing; :func:`reroot_worker_spans` wraps
+    a shipped worker forest and attaches it.
     """
-    if not _enabled:
+    if _enabled:
+        _add(rec, _current.get())
+
+
+def reroot_worker_spans(
+    worker_id: int, span_docs: list, *, wrapper: str = "sweep.worker",
+    **attrs,
+) -> None:
+    """Attach a worker's serialized span forest to the live trace.
+
+    The forest is rebuilt and wrapped in one ``wrapper`` span
+    (``sweep.worker`` for sweep and fuzz workers, ``pool.worker`` for
+    the server's pool) whose attrs carry ``worker_id`` (the exporters
+    key process rows off it) plus anything the caller adds; timing is
+    derived from the children (monotonic clocks are shared across
+    ``fork``, so child timestamps line up with the parent's spans).
+    No-op when tracing is disabled or the worker produced no spans.
+    """
+    if not span_docs or not _enabled:
         return
-    stack = _collector._stack()
-    if stack:
-        stack[-1].children.append(rec)
-    else:
-        with _collector._lock:
-            _collector._roots.append(rec)
+    children = [SpanRecord.from_dict(d) for d in span_docs]
+    start = min((c.start for c in children if c.start), default=0.0)
+    end = max((c.end() for c in children), default=start)
+    attach(
+        SpanRecord(
+            name=wrapper,
+            attrs={"worker_id": worker_id, **attrs},
+            start=start,
+            duration=max(0.0, end - start),
+            children=children,
+        )
+    )
 
 
 def current_span_name() -> str | None:
-    """The innermost span open on this thread, or None.
+    """The innermost open span in this thread or task, or None.
 
     This is the span context the structured logger stamps on every
     record: a log line emitted inside ``with span("build")`` carries
@@ -233,8 +286,8 @@ def current_span_name() -> str | None:
     """
     if not _enabled:
         return None
-    stack = _collector._stack()
-    return stack[-1].name if stack else None
+    cur = _current.get()
+    return cur._rec.name if cur is not None else None
 
 
 def enable() -> None:
@@ -253,13 +306,21 @@ def enabled() -> bool:
 
 
 def trace_roots() -> list[SpanRecord]:
-    """The collected root spans (each a tree), in start order."""
-    return _collector.roots()
+    """The process-global root spans (each a tree), in start order."""
+    with _roots_lock:
+        return list(_roots)
 
 
 def reset_trace() -> None:
-    """Drop all collected spans (the enabled flag is untouched)."""
-    _collector.reset()
+    """Drop the global roots and close this context's open spans.
+
+    A forked worker calls this (via ``obs.reset``) so spans inherited
+    from the parent's open context never swallow its own.  The
+    enabled flag is untouched.
+    """
+    with _roots_lock:
+        _roots.clear()
+    _current.set(None)
 
 
 def span_names(roots: list[SpanRecord] | None = None) -> set[str]:

@@ -86,55 +86,45 @@ def _pool_worker(wid: int, tasks, results, cfg: dict) -> None:
         if delay_s > 0:
             time.sleep(delay_s)
         # Rehydrate the request's trace context so log lines carry
-        # its trace id and, when the request is sampled, collect this
-        # job's span forest to ship home with the result -- the
-        # server reroots it under the request's root span.
+        # its trace id, and collect this job's span forest in a
+        # per-task sink (spans record while tracing is on, which the
+        # server turns on before forking the pool).  The forest ships
+        # home only for a sampled request -- the server reroots it
+        # under the request's pool.build span -- and is dropped
+        # otherwise, never reaching this worker's global roots.
         trace = task.get("trace")
         ctx = (
             ocontext.TraceContext.from_dict(trace)
             if trace is not None
             else None
         )
-        collect = ctx is not None and ctx.sampled
-        token = ocontext.set_context(ctx) if ctx is not None else None
-        was_enabled = obs.enabled()
-        if collect:
-            obs.reset_trace()
-            obs.enable()
-        try:
-            res = run_sweep_job(job, cache, validate=cfg["validate"])
-        except (Exception, SystemExit) as exc:  # noqa: BLE001 - to parent
-            olog.error(
-                "serve.worker_error",
-                worker_id=wid,
-                job=job.job_id,
-                error=str(exc),
-            )
-            results.put(
-                {
-                    "id": task["id"],
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "worker": wid,
-                }
-            )
-            continue
-        finally:
-            spans = None
-            if collect:
-                spans = [r.as_dict() for r in obs.trace_roots()]
-                obs.reset_trace()
-                if not was_enabled:
-                    obs.disable()
-            if token is not None:
-                ocontext.reset_context(token)
+        with obs.collect() as forest, ocontext.use_context(ctx):
+            try:
+                res = run_sweep_job(job, cache, validate=cfg["validate"])
+            except (Exception, SystemExit) as exc:  # noqa: BLE001 - to parent
+                olog.error(
+                    "serve.worker_error",
+                    worker_id=wid,
+                    job=job.job_id,
+                    error=str(exc),
+                )
+                results.put(
+                    {
+                        "id": task["id"],
+                        "ok": False,
+                        "error": f"{type(exc).__name__}: {exc}",
+                        "worker": wid,
+                    }
+                )
+                continue
+        sampled = ctx is not None and ctx.sampled
         results.put(
             {
                 "id": task["id"],
                 "ok": True,
                 "result": res.as_dict(),
                 "worker": wid,
-                "spans": spans,
+                "spans": [r.as_dict() for r in forest] if sampled else None,
             }
         )
         if hb is not None:
@@ -177,16 +167,11 @@ class WorkerPool:
     def start(self, loop: asyncio.AbstractEventLoop) -> "WorkerPool":
         """Fork the workers and start the result dispatcher thread."""
         self._loop = loop
-        log_path = None
-        if olog.configured():
-            from repro.obs.logging import _config as _log_cfg
-
-            log_path = _log_cfg.path if _log_cfg is not None else None
         cfg = {
             "cache_dir": self.cache_dir,
             "validate": self.validate,
             "run_dir": self.run_dir,
-            "log_path": log_path,
+            "log_path": olog.log_path(),
             "run_id": olog.run_id(),
         }
         for wid in range(self.workers):

@@ -300,12 +300,20 @@ class LayoutServer:
 
     # -- request tracing ---------------------------------------------------
 
-    def _begin_request(self, req: HttpRequest) -> ocontext.RequestTrace:
-        """Open the per-request root span and assign a request id.
+    async def _traced(self, req: HttpRequest, handle):
+        """Run ``await handle(root)`` as one traced, recorded request.
 
         The inbound ``x-repro-trace`` header (stamped by loadgen or
         an upstream) wins; a request without one gets a fresh context
-        head-sampled at ``--trace-sample``.
+        head-sampled at ``--trace-sample``.  The ``serve.request``
+        root span opens inside a per-request :func:`obs.collect`, so
+        the request's tree -- and any task it spawns -- never reaches
+        the daemon's global roots; the handler annotates the root
+        (``source`` and job coordinates).  A handler that fails with
+        an ``HttpError`` or any other exception still has its request
+        recorded (status and error) before the error propagates; a
+        dropped connection or a cancellation propagates unrecorded.
+        Returns what ``handle`` returned.
         """
         ctx = ocontext.parse_traceparent(req.headers.get(TRACE_HEADER))
         if ctx is None:
@@ -313,53 +321,72 @@ class LayoutServer:
                 sampled=ocontext.should_sample(self.config.trace_sample)
             )
         self._req_seq += 1
-        request_id = f"r{self._req_seq:06d}-{ctx.trace_id[:8]}"
-        return ocontext.RequestTrace(
-            ctx,
-            request_id,
-            path=req.path,
-            client=req.client_id,
+        # Built directly rather than via obs.span: the root always
+        # records, since latency and the request log read it.
+        root = obs.Span(
+            "serve.request",
+            {
+                "trace_id": ctx.trace_id,
+                "request_id": f"r{self._req_seq:06d}-{ctx.trace_id[:8]}",
+                "path": req.path,
+                "client": req.client_id,
+            },
         )
+        status = error = None
+        try:
+            with obs.collect(), ocontext.use_context(ctx), root:
+                try:
+                    result = await handle(root)
+                except HttpError as exc:
+                    status, error = exc.status, exc.message
+                    raise
+                except ConnectionError:
+                    raise
+                except Exception as exc:
+                    status, error = 500, f"{type(exc).__name__}: {exc}"
+                    raise
+                status = 200
+        finally:
+            if status is not None:
+                self._finish_request(ctx, root.record, status, error)
+        return result
 
     def _finish_request(
         self,
-        rt: ocontext.RequestTrace,
+        ctx: ocontext.TraceContext,
+        root: SpanRecord,
         status: int,
-        *,
-        source: str | None = None,
-        error: str | None = None,
-        **attrs,
+        error: str | None,
     ) -> None:
-        """Close the root span, observe latency, retain the request.
+        """Observe latency and retain the request, success or failure.
 
-        One exit point for success and failure alike: the latency
-        histogram gets an exemplar naming this trace, 5xx statuses
-        feed the SLO error budget, and the tail-sampling ring buffer
-        keeps the record (spans included when sampled) for
-        ``/debug/requests`` / ``/debug/trace/<id>``.
+        The latency histogram gets an exemplar naming this trace, 5xx
+        statuses feed the SLO error budget, and the tail-sampling
+        ring buffer keeps the record (spans included when sampled)
+        for ``/debug/requests`` / ``/debug/trace/<id>``.
         """
-        if source is not None:
-            attrs["source"] = source
+        root.attrs["status"] = status
         if error is not None:
-            attrs["error"] = error
-        root = rt.finish(status, **attrs)
+            root.attrs["error"] = error
+        latency_ms = root.duration * 1000.0
+        source = root.attrs.get("source")
         obs.observe(
             "serve.request_ms",
-            rt.latency_ms,
+            latency_ms,
             LATENCY_BOUNDS_MS,
-            exemplar=rt.ctx.trace_id,
+            exemplar=ctx.trace_id,
         )
         if status >= 500:
             obs.count("serve.errors_5xx")
         self.requests.add(
             ocontext.RequestRecord(
-                request_id=rt.request_id,
-                trace_id=rt.ctx.trace_id,
+                request_id=root.attrs["request_id"],
+                trace_id=ctx.trace_id,
                 path=str(root.attrs.get("path", "")),
                 status=status,
-                latency_ms=rt.latency_ms,
+                latency_ms=latency_ms,
                 time_unix=time.time(),
-                sampled=rt.ctx.sampled,
+                sampled=ctx.sampled,
                 source=source,
                 error=error,
                 attrs={
@@ -367,16 +394,16 @@ class LayoutServer:
                     for k, v in root.attrs.items()
                     if k in ("network", "scheme", "layers", "jobs", "client")
                 },
-                root=root if rt.ctx.sampled else None,
+                root=root if ctx.sampled else None,
             )
         )
         olog.info(
             "serve.request",
-            request_id=rt.request_id,
-            trace=rt.ctx.trace_id,
+            request_id=root.attrs["request_id"],
+            trace=ctx.trace_id,
             path=root.attrs.get("path"),
             status=status,
-            latency_ms=round(rt.latency_ms, 3),
+            latency_ms=round(latency_ms, 3),
             source=source,
         )
 
@@ -447,55 +474,15 @@ class LayoutServer:
             )
             return True
         if req.path == "/v1/layout" and req.method == "POST":
-            rt = self._begin_request(req)
-            token = ocontext.set_context(rt.ctx)
-            try:
-                doc = await self._layout_request(req, rt)
-            except HttpError as exc:
-                self._finish_request(rt, exc.status, error=exc.message)
-                raise
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as exc:
-                self._finish_request(
-                    rt, 500, error=f"{type(exc).__name__}: {exc}"
-                )
-                raise
-            finally:
-                ocontext.reset_context(token)
-            doc = {
-                **doc,
-                "request_id": rt.request_id,
-                "trace_id": rt.ctx.trace_id,
-            }
-            self._finish_request(
-                rt,
-                200,
-                source=doc.get("source"),
-                network=doc.get("network"),
-                scheme=doc.get("scheme"),
-                layers=doc.get("layers"),
+            doc = await self._traced(
+                req, lambda root: self._layout_request(req, root)
             )
             await send_json(writer, 200, doc, close=close)
             return True
         if req.path == "/v1/sweep" and req.method == "POST":
-            rt = self._begin_request(req)
-            token = ocontext.set_context(rt.ctx)
-            try:
-                await self._sweep_request(req, writer, rt)
-            except HttpError as exc:
-                self._finish_request(rt, exc.status, error=exc.message)
-                raise
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as exc:
-                self._finish_request(
-                    rt, 500, error=f"{type(exc).__name__}: {exc}"
-                )
-                raise
-            finally:
-                ocontext.reset_context(token)
-            self._finish_request(rt, 200, source="sweep")
+            await self._traced(
+                req, lambda root: self._sweep_request(req, writer, root)
+            )
             # Chunked responses end the framing cleanly, but any error
             # mid-stream already wrote a partial body: simplest safe
             # policy is one sweep per connection.
@@ -583,12 +570,12 @@ class LayoutServer:
         return network, scheme, layers, include_layout
 
     async def _layout_request(
-        self, req: HttpRequest, rt: ocontext.RequestTrace
+        self, req: HttpRequest, root: obs.Span
     ) -> dict:
         network, scheme, layers, include_layout = self._parse_layout_body(
             req.json()
         )
-        rt.annotate(network=network, scheme=scheme, layers=layers)
+        root.set(network=network, scheme=scheme, layers=layers)
         if include_layout and self.cache is None:
             raise HttpError(
                 400,
@@ -604,22 +591,21 @@ class LayoutServer:
                 retry_after=1.0,
             )
         try:
-            doc = await self._resolve(network, scheme, layers, rt)
+            doc = await self._resolve(network, scheme, layers)
         finally:
             self.gate.leave()
         if include_layout:
             entry = await self._cache_probe(network, scheme, layers)
             if entry is not None:
                 doc = {**doc, "layout": json.loads(entry.layout_json)}
-        return doc
+        root.set(source=doc.get("source"))
+        return {
+            **doc,
+            "request_id": root.record.attrs["request_id"],
+            "trace_id": root.record.attrs["trace_id"],
+        }
 
-    async def _resolve(
-        self,
-        network: str,
-        scheme: str,
-        layers: int,
-        rt: ocontext.RequestTrace,
-    ) -> dict:
+    async def _resolve(self, network: str, scheme: str, layers: int) -> dict:
         """One coalesced lookup-or-build; returns a response document.
 
         The *leader* request (the one that starts the flight) owns
@@ -632,16 +618,19 @@ class LayoutServer:
         task = self._flights.get(key)
         if task is not None:
             obs.count("serve.coalesced")
-            leader_trace = getattr(task, "leader_trace", None)
-            link = rt.link(leader_trace or "unknown")
-            t_wait = time.perf_counter()
-            doc = await self._await_flight(task)
-            link.duration = time.perf_counter() - t_wait
+            with obs.span(
+                "serve.link",
+                linked_trace_id=task.leader_trace,
+                link="coalesced",
+            ):
+                doc = await self._await_flight(task)
             return {**doc, "source": "coalesced"}
+        # The flight task runs in a copy of this request's context, so
+        # its spans nest under the leader's open span.
         task = asyncio.ensure_future(
-            self._lookup_or_build(network, scheme, layers, rt)
+            self._lookup_or_build(network, scheme, layers)
         )
-        task.leader_trace = rt.ctx.trace_id
+        task.leader_trace = ocontext.current_context().trace_id
         self._flights[key] = task
         task.add_done_callback(
             lambda _t, _k=key: self._flights.pop(_k, None)
@@ -682,15 +671,11 @@ class LayoutServer:
         return entry
 
     async def _lookup_or_build(
-        self,
-        network: str,
-        scheme: str,
-        layers: int,
-        rt: ocontext.RequestTrace,
+        self, network: str, scheme: str, layers: int
     ) -> dict:
         t0 = time.perf_counter()
         net = _parse_net(network)  # 400 before the pool sees bad specs
-        with rt.child("cache.probe", network=network):
+        with obs.span("cache.probe", network=network):
             entry = await self._cache_probe(network, scheme, layers)
         if entry is not None:
             obs.count("serve.hits")
@@ -716,16 +701,17 @@ class LayoutServer:
             "serve.build", network=network, scheme=scheme, layers=layers
         )
         assert self.pool is not None
-        trace = (
-            rt.ctx.child().as_dict() if rt.ctx.sampled else None
-        )
-        with rt.child(
+        ctx = ocontext.current_context()
+        trace = ctx.child().as_dict() if ctx.sampled else None
+        with obs.span(
             "pool.build", network=network, scheme=scheme, layers=layers
-        ) as build_span:
+        ):
             env = await self.pool.submit(
                 network, scheme, layers, trace=trace
             )
-            self._graft_worker_spans(build_span, env)
+            obs.reroot_worker_spans(
+                env["worker"], env["spans"], wrapper="pool.worker"
+            )
         res = env["result"]
         return {
             "schema": SERVE_SCHEMA,
@@ -740,41 +726,13 @@ class LayoutServer:
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
 
-    @staticmethod
-    def _graft_worker_spans(
-        build_span: SpanRecord, env: dict
-    ) -> None:
-        """Reroot a pool worker's shipped forest under the request.
-
-        The forest is wrapped in a ``pool.worker`` span whose integer
-        ``worker_id`` attr lifts it onto its own process row in the
-        Chrome-trace rendering -- the same convention sweep worker
-        forests use.  Fork shares ``perf_counter``'s clock on the
-        platforms we fork on, so child timestamps line up with the
-        server's spans.
-        """
-        spans = env.get("spans")
-        if not spans:
-            return
-        forest = [SpanRecord.from_dict(d) for d in spans]
-        start = min((r.start for r in forest if r.start), default=0.0)
-        end = max((r.end() for r in forest), default=start)
-        wrapper = SpanRecord(
-            name="pool.worker",
-            attrs={"worker_id": env.get("worker")},
-            start=start,
-            duration=max(0.0, end - start),
-            children=forest,
-        )
-        build_span.children.append(wrapper)
-
     # -- /v1/sweep ---------------------------------------------------------
 
     async def _sweep_request(
         self,
         req: HttpRequest,
         writer: asyncio.StreamWriter,
-        rt: ocontext.RequestTrace,
+        root: obs.Span,
     ) -> None:
         body = req.json()
         networks = body.get("networks")
@@ -806,7 +764,7 @@ class LayoutServer:
                 f"sweep expands to {len(jobs)} jobs "
                 f"(limit {MAX_SWEEP_JOBS})",
             )
-        rt.annotate(sweep=spec.name, jobs=len(jobs))
+        root.set(sweep=spec.name, jobs=len(jobs))
         self._admit(req, float(len(jobs)))
         if not self.gate.try_enter():
             obs.count("serve.rejected_busy")
@@ -832,7 +790,7 @@ class LayoutServer:
         try:
             pending = {
                 asyncio.ensure_future(
-                    self._resolve(j.network, j.scheme, j.layers, rt)
+                    self._resolve(j.network, j.scheme, j.layers)
                 ): j
                 for j in jobs
             }
@@ -884,6 +842,7 @@ class LayoutServer:
             await stream.finish()
         finally:
             self.gate.leave()
+        root.set(source="sweep")
 
     # -- introspection -----------------------------------------------------
 

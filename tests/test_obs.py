@@ -82,6 +82,33 @@ class TestSpans:
             assert len(r.children) == 50
             assert all(c.name == "child" for c in r.children)
 
+    def test_collect_scopes_parentless_spans(self):
+        obs.enable()
+        with obs.span("outer"):
+            with obs.collect() as forest:
+                with obs.span("a"):
+                    with obs.span("leaf"):
+                        pass
+                with obs.span("b"):
+                    pass
+            with obs.span("after"):
+                pass
+        assert [r.name for r in forest] == ["a", "b"]
+        assert [c.name for c in forest[0].children] == ["leaf"]
+        (outer,) = obs.trace_roots()
+        assert [c.name for c in outer.children] == ["after"]
+
+    def test_span_closed_out_of_order(self):
+        obs.enable()
+        a = obs.span("a").__enter__()
+        b = obs.span("b").__enter__()
+        a.__exit__(None, None, None)
+        b.__exit__(None, None, None)
+        with obs.span("c"):
+            pass
+        assert [r.name for r in obs.trace_roots()] == ["a", "c"]
+        assert [c.name for c in obs.trace_roots()[0].children] == ["b"]
+
     def test_phase_totals_aggregates_by_name(self):
         obs.enable()
         for _ in range(3):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.batch.runner import reroot_worker_spans
+from repro.obs import reroot_worker_spans
 from repro.obs.export import (
     chrome_trace,
     jsonl_events,

@@ -12,6 +12,8 @@ End-to-end against a real :class:`LayoutServer` on an ephemeral port
   trace;
 * the span-name *set* of a request is deterministic across worker
   counts;
+* request spans never reach the daemon's global span roots, and a
+  pool worker keeps no span tree of an unsampled build;
 * ``/metrics`` renders histogram exemplars and the ``slo.*`` gauges;
 * a ``--run-dir`` server feeds the ``repro watch`` SLO panel through
   its live ``metrics.prom``.
@@ -19,6 +21,7 @@ End-to-end against a real :class:`LayoutServer` on an ephemeral port
 
 import asyncio
 import json
+import queue
 
 import pytest
 
@@ -27,7 +30,7 @@ from repro.obs import context as ocontext
 from repro.obs import live
 from repro.obs.export import validate_chrome_trace
 from repro.serve import LayoutServer, ServeConfig, http_request
-from repro.serve.pool import POOL_DELAY_ENV
+from repro.serve.pool import POOL_DELAY_ENV, _pool_worker
 from repro.serve.protocol import TRACE_HEADER
 
 
@@ -245,6 +248,60 @@ class TestDeterministicSpanShape:
         )
 
 
+class TestSpanRoots:
+    def test_requests_leave_no_global_roots(self, tmp_path, monkeypatch):
+        """Every request's tree lives in its own collect() scope."""
+        monkeypatch.setenv(POOL_DELAY_ENV, "0.2")
+
+        async def t(server, port):
+            # Cold + coalesced, then warm, a 400, and a sweep.
+            await asyncio.gather(
+                *(_post_layout(port, "ring:6") for _ in range(3)),
+                _post_layout(port, "hypercube:3"),
+            )
+            await _post_layout(port, "ring:6")
+            await _post_layout(port, "nosuchfamily:3")
+            await http_request(
+                "127.0.0.1", port, "POST", "/v1/sweep",
+                body={"networks": ["ring:6", "ring:8"], "layers": [2]},
+            )
+            _, listing = await _get_json(port, "/debug/requests")
+            assert listing["totals"]["added"] == 7
+            for row in listing["requests"]:
+                rec = server.requests.find(row["request_id"])
+                assert rec.root.name == "serve.request"
+                assert rec.root.attrs["status"] == rec.status
+                assert rec.root.attrs["trace_id"] == rec.trace_id
+                assert rec.root.duration * 1000.0 == rec.latency_ms
+            assert obs.trace_roots() == []
+
+        _serve(t, cache_dir=str(tmp_path / "cache"), workers=2)
+
+    def test_pool_worker_keeps_no_unsampled_spans(self):
+        """A pool worker inherits tracing on from the server; builds
+        for unsampled requests must not pile up in its span roots."""
+        obs.enable()
+        sampled = ocontext.new_context()
+        unsampled = ocontext.new_context(sampled=False).as_dict()
+        tasks, results = queue.Queue(), queue.Queue()
+        for i, trace in enumerate(
+            [sampled.as_dict(), None, unsampled, None, unsampled, None]
+        ):
+            tasks.put({
+                "id": i, "network": f"ring:{5 + i}", "layers": 2,
+                "scheme": "auto", "trace": trace,
+            })
+        tasks.put(None)
+        _pool_worker(0, tasks, results, {"cache_dir": None, "validate": True})
+        envs = [results.get_nowait() for _ in range(6)]
+        assert [e["ok"] for e in envs] == [True] * 6
+        (job,) = envs[0]["spans"]
+        assert job["name"] == "sweep.job"
+        assert job["attrs"]["trace_id"] == sampled.trace_id
+        assert [e["spans"] for e in envs[1:]] == [None] * 5
+        assert obs.trace_roots() == []
+
+
 class TestDebugRequests:
     def test_listing_and_limit(self, tmp_path):
         async def t(server, port):
@@ -274,6 +331,27 @@ class TestDebugRequests:
             rec = doc["requests"][0]
             assert rec["status"] == 400
             assert rec["error"]
+
+        _serve(t)
+
+
+    def test_internal_error_retained_and_counted(self):
+        async def t(server, port):
+            async def boom(*args):
+                raise RuntimeError("boom")
+
+            server._resolve = boom
+            st, _, _ = await _post_layout(port, "ring:6")
+            assert st == 500
+            st, _, _ = await _post_layout(port, "ring:6", layers=0)
+            assert st == 400
+            _, doc = await _get_json(port, "/debug/requests")
+            by_status = {r["status"]: r for r in doc["requests"]}
+            assert by_status[500]["error"] == "RuntimeError: boom"
+            assert "error" in by_status[500]["retained"]
+            assert by_status[400]["error"]
+            counters = obs.registry().snapshot()["counters"]
+            assert counters["serve.errors_5xx"] == 1
 
         _serve(t)
 
